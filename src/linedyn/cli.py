@@ -129,7 +129,9 @@ def cmd_check_map(args, started: float) -> int:
 def cmd_orbits(args, started: float) -> int:
     payload = Path(args.map_file).read_bytes()
     F = _load_for_orbits(args.map_file)
-    max_period = args.max_period if args.max_period else min(F.window.size, 6)
+    if args.max_period is not None and args.max_period < 1:
+        raise LineDynError(f"--max-period must be at least 1, got {args.max_period}")
+    max_period = args.max_period if args.max_period is not None else min(F.window.size, 6)
     orbits = periodic_orbits(F, max_period)
     report = classify_invariant_sets(F)
     results = {
@@ -230,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", metavar="PATH", help="also write the report to a file")
         p.add_argument("--no-timing", action="store_true", help="omit timing for byte-stable reports")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallelism bound (current operations run single-threaded)")
 
     p = sub.add_parser("window", help="summarize a line window and export its diagram")
     p.add_argument("lo", type=_int_maybe_negative)

@@ -10,9 +10,9 @@ period spectra, and invariant sets live on the induced transition digraph.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -23,14 +23,7 @@ from .errors import (
     NotFoundError,
     NotVietorisError,
 )
-from .homology import (
-    homology_map_from_simplicial,
-    invert_matrix,
-    is_acyclic,
-    poset_homology_basis,
-    trace,
-)
-from .complexes import SimplicialMap, order_complex
+from .homology import is_acyclic
 from .line import Interval, LineWindow, line_leq
 from .posets import Poset
 from .singlemaps import SelfMap
@@ -226,12 +219,59 @@ def is_vietoris_like_map(
     return True, None
 
 
+def _cover_fibre_acyclic(odd_values: frozenset, even_values: frozenset) -> bool:
+    """Acyclicity of the graph fibre over a cover chain {o, e}, given F(o)
+    and F(e).
+
+    The fibre is {o} x F(o) together with {e} x F(e), each ordered as F(o)
+    and F(e) are on the line, with (o, y) below (e, z) exactly when y <= z
+    on the line; its shape depends only on the two value sets.
+    """
+    elements = [(0, y) for y in sorted(odd_values)] + [(1, z) for z in sorted(even_values)]
+    return is_acyclic(
+        Poset.from_leq(elements, lambda s, t: s[0] <= t[0] and line_leq(s[1], t[1]))
+    )
+
+
+def _vietoris_witness(lo: int, values: Sequence[frozenset], memo: dict) -> tuple | None:
+    """First chain of the window from x_lo whose graph fibre is not acyclic,
+    or None; ``values[k]`` is F(x_{lo+k}).
+
+    A window has height at most 1, so its chains are points and cover pairs
+    {odd, even}.  The fibre over a point x is F(x) with the line order,
+    acyclic exactly when F(x) is a run of consecutive indices.  Chains are
+    visited in ``is_vietoris_like_map`` order: odd points, even points, then
+    cover pairs by odd point and then even point.  ``memo`` holds verdicts by
+    value set for points and by value-set pair for covers.
+    """
+    odd = (lo + 1) % 2  # offset of the first odd index
+    for start in (odd, 1 - odd):
+        for k in range(start, len(values), 2):
+            vs = values[k]
+            ok = memo.get(vs)
+            if ok is None:
+                ok = memo[vs] = max(vs) - min(vs) < len(vs)
+            if not ok:
+                return (lo + k,)
+    for k in range(len(values) - 1):
+        o, e = (k, k + 1) if (lo + k) % 2 else (k + 1, k)
+        pair = (values[o], values[e])
+        ok = memo.get(pair)
+        if ok is None:
+            ok = memo[pair] = _cover_fibre_acyclic(*pair)
+        if not ok:
+            return (lo + o, lo + e)
+    return None
+
+
 def is_vietoris_like_multimap(F: MultiMap) -> tuple[bool, tuple | None]:
     """Whether the first projection of the graph is Vietoris-like; the
-    witness is a chain of window indices whose graph preimage is not
+    witness is the first chain of window indices, in the order
+    ``is_vietoris_like_map`` visits them, whose graph preimage is not
     acyclic."""
-    gp = graph_poset(F)
-    return is_vietoris_like_map(gp.p, gp.poset, F.window.poset)
+    values = [F.values[i] for i in F.window.indices]
+    witness = _vietoris_witness(F.window.lo, values, {})
+    return witness is None, witness
 
 
 # -- Lefschetz ----------------------------------------------------------
@@ -242,7 +282,6 @@ class LefschetzResult:
     traces: dict
     lambda_: Fraction
     fixed_point_predicted: bool
-    strategy: str
 
     def to_json(self) -> dict:
         return {
@@ -252,120 +291,31 @@ class LefschetzResult:
         }
 
 
-def _singleton_vietoris_witness(F: MultiMap) -> tuple | None:
-    """First failing chain for a singleton-valued map, or None if none.
-
-    Singleton fibers are single graph points, always acyclic; a two-element
-    chain's fiber is a two-point set, acyclic exactly when the images are
-    ordered the same way.  This reproduces what the general check would find.
-    """
-    w = F.window
-    f = {i: next(iter(F.values[i])) for i in w.indices}
-    for chain in _sorted_chains(w.poset):
-        if len(chain) == 1:
-            continue
-        lo_elt, hi_elt = chain
-        if not line_leq(f[lo_elt], f[hi_elt]):
-            return chain
-    return None
-
-
-def _general_lefschetz(F: MultiMap) -> LefschetzResult:
-    """Full homology route: push cycle bases through both projections and
-    invert the first; exact rational arithmetic throughout."""
-    gp = graph_poset(F)
-    window_poset = F.window.poset
-    gamma_basis = poset_homology_basis(gp.poset)
-    window_basis = poset_homology_basis(window_poset)
-    p_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.p)
-    q_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.q)
-    p_mats = homology_map_from_simplicial(p_simpl, gamma_basis, window_basis)
-    q_mats = homology_map_from_simplicial(q_simpl, gamma_basis, window_basis)
-    degrees = sorted(set(p_mats) | set(q_mats))
-    for k in range(max([gamma_basis.chain.dimension, window_basis.chain.dimension, 0]) + 1):
-        if gamma_basis.dim(k) != window_basis.dim(k):
-            raise InternalConsistencyError(
-                f"graph and window homology differ in degree {k}; "
-                "the projection cannot be invertible"
-            )
-    traces = {}
-    total = Fraction(0)
-    for k in degrees:
-        p_k = p_mats.get(k, [])
-        q_k = q_mats.get(k, [])
-        inv = invert_matrix(p_k)
-        if inv is None:
-            raise InternalConsistencyError(
-                f"projection is singular on degree {k} homology"
-            )
-        if not inv:
-            continue
-        m = [
-            [sum(q_k[i][t] * inv[t][j] for t in range(len(inv))) for j in range(len(inv))]
-            for i in range(len(q_k))
-        ]
-        traces[k] = trace(m)
-        total += (-1) ** k * traces[k]
-    return LefschetzResult(
-        traces=traces,
-        lambda_=total,
-        fixed_point_predicted=total != 0,
-        strategy="general",
-    )
-
-
-def lefschetz_number(F: MultiMap, strategy: str = "auto") -> LefschetzResult:
+def lefschetz_number(F: MultiMap) -> LefschetzResult:
     """Lefschetz number of a Vietoris-like multivalued map.
 
     The induced endomorphism is the second projection composed with the
-    inverse of the first on rational homology.  Three equivalent routes:
-    singleton-valued maps reduce to a continuity check with both spaces
-    acyclic; a map whose graph and window are both acyclic has point homology
-    on both sides, forcing the degree-zero trace 1; otherwise the bases are
-    pushed explicitly.  A non-zero result is cross-checked against the actual
-    fixed point set.
+    inverse of the first on rational homology.  A window is contractible and
+    a Vietoris-like first projection is a homotopy equivalence (Quillen's
+    fibre lemma), so graph and window both have the homology of a point: the
+    only trace is 1, in degree 0, and the Lefschetz number is 1.  The
+    acyclicity of both sides and the fixed point that a non-zero number
+    forces are checked, not assumed.
     """
-    if strategy not in ("auto", "singleton", "acyclic", "general"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    result = None
-    if strategy == "singleton" or (strategy == "auto" and F.is_singleton_valued):
-        witness = _singleton_vietoris_witness(F)
-        if witness is not None:
-            raise NotVietorisError(f"map is not Vietoris-like at chain {witness!r}")
-        result = LefschetzResult(
-            traces={0: Fraction(1)},
-            lambda_=Fraction(1),
-            fixed_point_predicted=True,
-            strategy="singleton",
+    ok, witness = is_vietoris_like_multimap(F)
+    if not ok:
+        raise NotVietorisError(f"map is not Vietoris-like at chain {witness!r}")
+    if not (is_acyclic(graph_poset(F).poset) and is_acyclic(F.window.poset)):
+        raise InternalConsistencyError(
+            "graph or window of a Vietoris-like map is not acyclic; this is a bug"
         )
-    if result is None and strategy != "general":
-        ok, witness = is_vietoris_like_multimap(F)
-        if not ok:
-            raise NotVietorisError(f"map is not Vietoris-like at chain {witness!r}")
-        gp = graph_poset(F)
-        if is_acyclic(gp.poset) and is_acyclic(F.window.poset):
-            # point homology on both sides: the only trace is 1 in degree 0
-            result = LefschetzResult(
-                traces={0: Fraction(1)},
-                lambda_=Fraction(1),
-                fixed_point_predicted=True,
-                strategy="acyclic",
-            )
-        elif strategy == "acyclic":
-            raise InternalConsistencyError(
-                "acyclic strategy requested but the graph or window is not acyclic"
-            )
-    if result is None:
-        if strategy == "general":
-            ok, witness = is_vietoris_like_multimap(F)
-            if not ok:
-                raise NotVietorisError(f"map is not Vietoris-like at chain {witness!r}")
-        result = _general_lefschetz(F)
-    if result.lambda_ != 0 and not F.fixed_point_set():
+    if not F.fixed_point_set():
         raise InternalConsistencyError(
             "non-zero Lefschetz number without a fixed point; this is a bug"
         )
-    return result
+    return LefschetzResult(
+        traces={0: Fraction(1)}, lambda_=Fraction(1), fixed_point_predicted=True
+    )
 
 
 # -- transition graph, orbits, spectra ----------------------------------

@@ -196,10 +196,10 @@ class Poset:
 
     def induced(self, subset: Iterable[Element]) -> "Poset":
         """Induced subposet on the given elements, keeping this poset's order."""
-        sub = [x for x in self._elements if x in set(subset)]
-        for x in subset:
+        subset_set = set(subset)
+        for x in subset_set:
             self._check(x)
-        subset_set = set(sub)
+        sub = [x for x in self._elements if x in subset_set]
         down = {x: frozenset(self._down[x] & subset_set) for x in sub}
         return Poset(sub, down)
 

@@ -113,10 +113,6 @@ class SelfMap:
         return f"SelfMap({self.window!r}, {len(self.values)} values)"
 
 
-def _ordered_pair_ok(lower_val: int, upper_val: int) -> bool:
-    return line_leq(lower_val, upper_val)
-
-
 def is_order_preserving_line(f: SelfMap) -> tuple[bool, tuple[int, int] | None]:
     """Continuity of a window map with tails.
 
@@ -148,10 +144,6 @@ def is_order_preserving_line(f: SelfMap) -> tuple[bool, tuple[int, int] | None]:
             if not line_leq(values[inside], tail_val):
                 return False, (inside, outside)
     return True, None
-
-
-def check_continuity(f: SelfMap) -> tuple[bool, tuple[int, int] | None]:
-    return is_order_preserving_line(f)
 
 
 # -- interval images ----------------------------------------------------

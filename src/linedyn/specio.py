@@ -22,13 +22,18 @@ from .singlemaps import SelfMap
 _EXPR = re.compile(r"^(?P<neg>-?)i(?:(?P<op>[+-])(?P<const>\d+))?$|^(?P<lit>-?\d+)$")
 
 
+def _is_index(v) -> bool:
+    """A JSON integer; JSON booleans decode to Python bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def index_expression(expr) -> Callable[[int], int]:
     """Compile an index expression to a function of i.
 
     Accepted forms: an integer; "i"; "i+c"; "i-c"; "-i"; "-i+c"; "-i-c"; a
     decimal constant string.
     """
-    if isinstance(expr, int):
+    if _is_index(expr):
         return lambda i: expr
     if not isinstance(expr, str):
         raise SpecFormatError(f"index expression must be int or string, got {expr!r}")
@@ -52,7 +57,7 @@ def _window_from(data: Mapping) -> tuple:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
-        or not all(isinstance(v, int) for v in raw)
+        or not all(_is_index(v) for v in raw)
     ):
         raise SpecFormatError('"window" must be a two-integer list [lo, hi]')
     return raw[0], raw[1]
@@ -75,7 +80,7 @@ def _parse_selfmap(data: Mapping) -> SelfMap:
             i = int(key)
         except ValueError as exc:
             raise SpecFormatError(f"bad index key {key!r}") from exc
-        if not isinstance(v, int):
+        if not _is_index(v):
             raise SpecFormatError(f"value of x_{i} must be a single integer")
         values[i] = v
     try:
@@ -99,9 +104,9 @@ def _parse_multimap(data: Mapping) -> MultiMap:
             i = int(key)
         except ValueError as exc:
             raise SpecFormatError(f"bad index key {key!r}") from exc
-        if isinstance(v, int):
+        if _is_index(v):
             v = [v]
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_index(x) for x in v):
             raise SpecFormatError(f"value set of x_{i} must be a list of integers")
         explicit[i] = v
     rules = data.get("rules", [])
@@ -117,7 +122,7 @@ def _parse_multimap(data: Mapping) -> MultiMap:
         elif (
             isinstance(span, list)
             and len(span) == 2
-            and all(isinstance(v, int) for v in span)
+            and all(_is_index(v) for v in span)
         ):
             r_lo, r_hi = span
             member = lambda i, r_lo=r_lo, r_hi=r_hi: r_lo <= i <= r_hi
@@ -127,9 +132,10 @@ def _parse_multimap(data: Mapping) -> MultiMap:
         hi_of = index_expression(rule.get("to"))
         compiled.append((member, lo_of, hi_of))
     values = {}
-    clipped = set(data.get("clipped", []))
-    if not all(isinstance(i, int) for i in clipped):
+    raw_clipped = data.get("clipped", [])
+    if not isinstance(raw_clipped, list) or not all(_is_index(i) for i in raw_clipped):
         raise SpecFormatError('"clipped" must be a list of integers')
+    clipped = set(raw_clipped)
     for i in window.indices:
         if i in explicit:
             values[i] = explicit[i]

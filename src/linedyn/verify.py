@@ -2,9 +2,11 @@
 
 Each suite enumerates a full corpus (all continuous self-maps of a window, or
 all interval-valued multivalued maps on all windows up to a size) and counts
-violations, which must be zero.  The checks recompute everything from scratch
+violations, which must be zero.  The per-map checks recompute what they test
 with plain dict walks where possible, independent of the richer library
-classes, so they double as oracles for the test suite.
+classes, so they double as oracles for the test suite.  The Lefschetz sweep decides the
+Vietoris condition with the library's local check and cross-checks a sample
+against the global one.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError, SizeGuardError
-from .homology import is_acyclic
-from .line import LineWindow, build_line_window, interval_indices, line_leq
-from .multimaps import MultiMap, is_vietoris_like_multimap, lefschetz_number
-from .posets import Poset
+from .line import LineWindow, build_line_window, interval_indices
+from .multimaps import (
+    MultiMap,
+    _vietoris_witness,
+    graph_poset,
+    is_vietoris_like_map,
+    lefschetz_number,
+)
 from .singlemaps import enumerate_continuous_selfmaps, image_of_interval, period_two_set
 
 MAX_VIOLATIONS_KEPT = 5
@@ -175,56 +181,6 @@ def verify_interval_lemma(window: LineWindow, force: bool = False) -> VerifyResu
 # -- the Lefschetz sweep over small multivalued maps ---------------------
 
 
-def _intervals_of(window: LineWindow) -> list[tuple[int, int]]:
-    return [
-        (a, b) for a in window.indices for b in window.indices if a <= b
-    ]
-
-
-def _cover_fiber_acyclic(
-    odd_iv: tuple[int, int], even_iv: tuple[int, int], cache: dict
-) -> bool:
-    """Acyclicity of the preimage of a cover chain {odd, even} when the odd
-    point's value is odd_iv and the even point's is even_iv.
-
-    The preimage is a tagged disjoint union of the two value intervals, with
-    (0, y) below (1, z) exactly when y <= z on the line; its shape depends
-    only on the two intervals, never on the window, so results are cached
-    globally.
-    """
-    key = (odd_iv, even_iv)
-    if key not in cache:
-        elements = [(0, y) for y in interval_indices(*odd_iv)] + [
-            (1, z) for z in interval_indices(*even_iv)
-        ]
-
-        def leq(s, t):
-            if s[0] == t[0]:
-                return line_leq(s[1], t[1])
-            if s[0] == 0:
-                return line_leq(s[1], t[1])
-            return False
-
-        cache[key] = is_acyclic(Poset.from_leq(elements, leq))
-    return cache[key]
-
-
-def _interval_map_vietoris(
-    window: LineWindow, assignment: tuple[tuple[int, int], ...], cache: dict
-) -> bool:
-    """Fast Vietoris test for an interval-valued assignment.
-
-    Singleton-chain preimages are value intervals, which are fences and
-    always acyclic, so only the cover chains need checking.
-    """
-    table = dict(zip(window.indices, assignment))
-    for i in range(window.lo, window.hi):
-        odd, even = (i, i + 1) if i % 2 else (i + 1, i)
-        if not _cover_fiber_acyclic(table[odd], table[even], cache):
-            return False
-    return True
-
-
 def verify_lefschetz_fixed_points(
     max_size: int = 5, crosscheck_stride: int = 997
 ) -> VerifyResult:
@@ -234,11 +190,12 @@ def verify_lefschetz_fixed_points(
     A map with a fixed point satisfies the implication outright, so the
     sweep enumerates exactly the fixed-point-free assignments (every point's
     value interval avoids the point) and demands that each one either fails
-    the Vietoris condition or has Lefschetz number zero.  Every
-    crosscheck_stride-th assignment is re-validated with the full graph-poset
-    machinery to guard the fast path.
+    the Vietoris condition or has Lefschetz number zero.  The Vietoris
+    condition is decided by the library's local check, with one fibre memo
+    for the whole sweep; every crosscheck_stride-th assignment is re-decided
+    by the global check on the graph poset, verdict and witness both.
     """
-    fiber_cache: dict = {}
+    memo: dict = {}
     total_maps = 0
     fp_free = 0
     vietoris_fp_free = 0
@@ -248,50 +205,39 @@ def verify_lefschetz_fixed_points(
     for lo in (0, 1):
         for size in range(1, max_size + 1):
             window = build_line_window(lo, lo + size - 1)
-            intervals = _intervals_of(window)
+            intervals = [
+                frozenset(range(a, b + 1))
+                for a in window.indices
+                for b in window.indices
+                if a <= b
+            ]
             total_maps += len(intervals) ** size
-            avoiding = {
-                i: [iv for iv in intervals if not iv[0] <= i <= iv[1]]
-                for i in window.indices
-            }
+            avoiding = [[vs for vs in intervals if i not in vs] for i in window.indices]
             count_here = 0
-            for assignment in itertools.product(
-                *(avoiding[i] for i in window.indices)
-            ):
+            for assignment in itertools.product(*avoiding):
                 fp_free += 1
                 count_here += 1
-                fast = _interval_map_vietoris(window, assignment, fiber_cache)
+                witness = _vietoris_witness(lo, assignment, memo)
                 if fp_free % crosscheck_stride == 0:
-                    F = MultiMap(
-                        window,
-                        {
-                            i: range(iv[0], iv[1] + 1)
-                            for i, iv in zip(window.indices, assignment)
-                        },
-                    )
-                    slow, _ = is_vietoris_like_multimap(F)
                     crosschecked += 1
-                    if slow != fast:
+                    gp = graph_poset(MultiMap(window, dict(zip(window.indices, assignment))))
+                    expected = is_vietoris_like_map(gp.p, gp.poset, window.poset)
+                    if expected != (witness is None, witness):
                         raise InternalConsistencyError(
-                            f"fast Vietoris filter disagrees on {assignment!r}"
+                            f"local Vietoris check disagrees with the global one on {assignment!r}"
                         )
-                if not fast:
+                if witness is not None:
                     continue
                 vietoris_fp_free += 1
-                F = MultiMap(
-                    window,
-                    {
-                        i: range(iv[0], iv[1] + 1)
-                        for i, iv in zip(window.indices, assignment)
-                    },
-                )
                 try:
-                    result = lefschetz_number(F)
-                    bad = result.lambda_ != 0
+                    F = MultiMap(window, dict(zip(window.indices, assignment)))
+                    bad = lefschetz_number(F).lambda_ != 0
                 except InternalConsistencyError:
                     bad = True
                 if bad and len(violations) < MAX_VIOLATIONS_KEPT:
-                    violations.append(((window.lo, window.hi), assignment))
+                    violations.append(
+                        ((window.lo, window.hi), tuple((min(v), max(v)) for v in assignment))
+                    )
             per_window[f"[{window.lo},{window.hi}]"] = count_here
     return VerifyResult(
         theorem="lefschetz",

@@ -92,6 +92,10 @@ def test_check_map_malformed_input(tmp_path):
     bad.write_text("{not json")
     assert run(["check-map", str(bad), "--no-timing"])[0] == 2
     assert run(["check-map", str(tmp_path / "absent.json"), "--no-timing"])[0] == 2
+    clipped = tmp_path / "clipped.json"
+    clipped.write_text('{"kind": "multimap", "window": [0, 1], "values": {"0": [0], "1": [1]}, "clipped": 5}')
+    code, _, err = run(["check-map", str(clipped), "--no-timing"])
+    assert code == 2 and "clipped" in err
 
 
 def test_orbits_band():
@@ -109,6 +113,15 @@ def test_orbits_expanding_spectrum():
     ])
     assert code == 0
     assert set(res["spectrum"]) >= {1, 2, 3, 4, 5}
+
+
+def test_orbits_rejects_non_positive_max_period():
+    for n in ("0", "-3"):
+        code, out, err = run([
+            "orbits", str(SPEC_DIR / "constant_band_map.json"), "--max-period", n, "--no-timing",
+        ])
+        assert code == 2 and out == ""
+        assert "--max-period" in err
 
 
 def test_orbits_identity_spectrum():
@@ -191,11 +204,6 @@ def test_json_file_matches_stdout(tmp_path):
     path = tmp_path / "report.json"
     _, out, _ = run(["window", "-1", "1", "--json", str(path), "--no-timing"])
     assert path.read_text() == out
-
-
-def test_jobs_flag_accepted():
-    code, _, _ = run(["window", "-1", "1", "--jobs", "4", "--no-timing"])
-    assert code == 0
 
 
 def test_version_flag():

@@ -1,6 +1,9 @@
 """Interval-valued maps: graph posets, fiber checks, Lefschetz numbers,
 orbit enumeration, and invariant set classification."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from linedyn import (
     Interval,
     InvalidMapError,
     InvalidMultiMapError,
+    LefschetzResult,
     MultiMap,
     NotFoundError,
     NotVietorisError,
@@ -26,6 +30,13 @@ from linedyn import (
     periodic_orbits,
     selfmap_lefschetz,
     transition_graph,
+)
+from linedyn.complexes import SimplicialMap
+from linedyn.homology import (
+    homology_map_from_simplicial,
+    invert_matrix,
+    poset_homology_basis,
+    trace,
 )
 from linedyn.catalog import (
     constant_interval_map,
@@ -154,35 +165,104 @@ def test_split_point_fails_vietoris_with_singleton_witness():
     assert not sub.is_connected()
 
 
+def _general_lefschetz(F):
+    """Oracle: push rational cycle bases through both projections of the
+    graph and invert the first; exact rational arithmetic throughout."""
+    gp = graph_poset(F)
+    gamma_basis = poset_homology_basis(gp.poset)
+    window_basis = poset_homology_basis(F.window.poset)
+    p_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.p)
+    q_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.q)
+    p_mats = homology_map_from_simplicial(p_simpl, gamma_basis, window_basis)
+    q_mats = homology_map_from_simplicial(q_simpl, gamma_basis, window_basis)
+    top = max(gamma_basis.chain.dimension, window_basis.chain.dimension, 0)
+    for k in range(top + 1):
+        assert gamma_basis.dim(k) == window_basis.dim(k), f"homology differs in degree {k}"
+    traces = {}
+    total = Fraction(0)
+    for k in sorted(set(p_mats) | set(q_mats)):
+        q_k = q_mats.get(k, [])
+        inv = invert_matrix(p_mats.get(k, []))
+        assert inv is not None, f"projection is singular on degree {k} homology"
+        if not inv:
+            continue
+        m = [
+            [sum(q_k[i][t] * inv[t][j] for t in range(len(inv))) for j in range(len(inv))]
+            for i in range(len(q_k))
+        ]
+        traces[k] = trace(m)
+        total += (-1) ** k * traces[k]
+    return LefschetzResult(traces=traces, lambda_=total, fixed_point_predicted=total != 0)
+
+
+def small_multimaps(sizes, value_sets):
+    """Every map on windows of the given sizes, both parities, whose value
+    sets come from value_sets(window)."""
+    for lo in (0, 1):
+        for n in sizes:
+            w = build_line_window(lo, lo + n - 1)
+            for vals in itertools.product(value_sets(w), repeat=n):
+                yield MultiMap(w, dict(zip(w.indices, vals)))
+
+
+def all_value_sets(w):
+    return [
+        frozenset(c) for r in range(1, w.size + 1) for c in itertools.combinations(w.indices, r)
+    ]
+
+
+def interval_value_sets(w):
+    return [frozenset(range(a, b + 1)) for a in w.indices for b in w.indices if a <= b]
+
+
+def test_local_vietoris_check_matches_global_oracle():
+    corpus = itertools.chain(
+        small_multimaps((1, 2, 3), all_value_sets),
+        small_multimaps((4,), interval_value_sets),
+    )
+    count = 0
+    for F in corpus:
+        gp = graph_poset(F)
+        assert is_vietoris_like_multimap(F) == is_vietoris_like_map(
+            gp.p, gp.poset, F.window.poset
+        ), F.values
+        count += 1
+    assert count == 2 * (1 + 3**2 + 7**3 + 10**4)
+
+
+def test_lefschetz_matches_general_oracle_on_small_maps():
+    vietoris = [
+        F for F in small_multimaps((1, 2, 3), all_value_sets) if is_vietoris_like_multimap(F)[0]
+    ]
+    assert len(vietoris) == 342
+    for F in vietoris:
+        assert lefschetz_number(F).lambda_ == _general_lefschetz(F).lambda_ == 1
+
+
 def test_lefschetz_band():
     r = lefschetz_number(BAND)
     assert r.lambda_ == 1
-    assert r.strategy == "acyclic"
     assert r.fixed_point_predicted
     assert r.traces == {0: 1}
+    assert _general_lefschetz(BAND) == r
 
 
 def test_lefschetz_singleton_strategy():
-    r = lefschetz_number(as_multimap(mirror_selfmap(3)))
-    assert r.lambda_ == 1
-    assert r.strategy == "singleton"
-    ri = lefschetz_number(identity_multimap(build_line_window(-2, 2)))
-    assert ri.lambda_ == 1 and ri.strategy == "singleton"
+    for F in (as_multimap(mirror_selfmap(3)), identity_multimap(build_line_window(-2, 2))):
+        assert lefschetz_number(F).lambda_ == _general_lefschetz(F).lambda_ == 1
 
 
 def test_lefschetz_general_strategy_agrees():
     for F in (BAND, identity_multimap(build_line_window(-2, 2)), expanding_interval_map(4)):
-        auto = lefschetz_number(F)
-        gen = lefschetz_number(F, strategy="general")
-        assert gen.lambda_ == auto.lambda_ == 1
-        assert gen.strategy == "general"
+        assert _general_lefschetz(F).lambda_ == lefschetz_number(F).lambda_ == 1
 
 
 def test_lefschetz_rejects_non_vietoris():
     with pytest.raises(NotVietorisError):
         lefschetz_number(split_point_map(1))
-    with pytest.raises(NotVietorisError):
-        lefschetz_number(split_point_map(1), strategy="general")
+    # the oracle sees why: the graph has two components over a contractible window
+    with pytest.raises(AssertionError, match="degree 0"):
+        _general_lefschetz(split_point_map(1))
 
 
 def test_lefschetz_agrees_with_single_valued_computation():

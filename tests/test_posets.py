@@ -100,6 +100,10 @@ def test_induced_subposet():
     assert set(q.elements) == {0, 2, 4}
     assert q.leq(0, 4)
     assert set(q.covers) == {(0, 2), (2, 4)}
+    # a one-shot iterator gives the same subposet as a list
+    assert p.induced(x for x in [0, 2, 4]) == q
+    w = fence_poset(2)
+    assert len(w.induced(x for x in [-1, 0, 1])) == 3
 
 
 def test_product_of_chains_is_grid():

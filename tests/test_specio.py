@@ -68,6 +68,24 @@ def test_parse_map_rejects_malformed():
         parse_map({"window": [1, 0], "values": {"0": 0, "1": 1}})
     with pytest.raises(SpecFormatError):
         parse_map({"window": [0, 1], "kind": "wormhole", "values": {"0": 0, "1": 1}})
+    # JSON booleans are not indices, and "clipped" must be a list
+    multi = {"kind": "multimap", "window": [0, 1], "values": {"0": [0], "1": [1]}}
+    for bad in (
+        {"window": [True, 3], "values": {"1": 1, "2": 2, "3": 3}},
+        {"window": [0, 1], "values": {"0": 0, "1": True}},
+        {**multi, "window": [False, 1]},
+        {**multi, "values": {"0": [0], "1": [True]}},
+        {**multi, "values": {"0": 0, "1": True}},
+        {**multi, "clipped": [True]},
+        {**multi, "clipped": 5},
+        {**multi, "clipped": {"1": 1}},
+        {**multi, "values": {}, "rules": [
+            {"range": [False, 1], "kind": "interval", "from": "i", "to": "i"}]},
+        {**multi, "values": {}, "rules": [
+            {"range": "default", "kind": "interval", "from": True, "to": "i"}]},
+    ):
+        with pytest.raises(SpecFormatError):
+            parse_map(bad)
 
 
 def test_rules_apply_first_match_and_clip():
