@@ -19,7 +19,7 @@ from . import __version__
 from .catalog import minimal_circle_poset
 from .complexes import face_poset, interval_triangulation
 from .errors import InternalConsistencyError, LineDynError
-from .homology import homology, is_acyclic
+from .homology import homology
 from .line import build_line_window
 from .multimaps import (
     MultiMap,
@@ -208,7 +208,7 @@ def cmd_homology(args, started: float) -> int:
     results = {
         "target": echo_target,
         "reduced_homology": groups.to_json(),
-        "acyclic": is_acyclic(poset),
+        "acyclic": groups.is_zero,
     }
     _emit(_report(args, digest_source, results, started), args.json)
     return 0

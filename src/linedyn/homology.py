@@ -7,14 +7,14 @@ fractions.Fraction.  Matrices are lists of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _as_mapping,
     induced_simplicial_map,
     order_complex,
 )
@@ -266,13 +266,8 @@ def _complex_of(x) -> SimplicialComplex:
     raise InvalidMapError(f"cannot take homology of {type(x).__name__}")
 
 
-def homology(x, reduced: bool = True) -> HomologyGroups:
-    """Simplicial homology of a complex, or of a poset via its order complex.
-
-    The empty complex reports a single unit in degree -1 under the reduced
-    convention, so it never counts as acyclic.
-    """
-    k = _complex_of(x)
+def _complex_homology(k: SimplicialComplex, reduced: bool) -> HomologyGroups:
+    """Homology by Smith normal form of every boundary matrix."""
     if k.dimension < 0:
         if reduced:
             return HomologyGroups(betti={-1: 1}, torsion={}, reduced=True)
@@ -297,33 +292,38 @@ def homology(x, reduced: bool = True) -> HomologyGroups:
     return HomologyGroups(betti=betti, torsion=torsion, reduced=reduced)
 
 
+def homology(x, reduced: bool = True) -> HomologyGroups:
+    """Simplicial homology of a complex, or of a poset via its order complex.
+
+    A poset is first reduced to its beat-point core, which has the homotopy
+    type of the poset (Stong), and only the core's order complex goes
+    through Smith normal form; a one-point core needs no matrices.  Degrees
+    above the core's dimension, up to the poset's, report zero, so the
+    degrees listed are those of the poset's own order complex.  The empty
+    complex reports a single unit in degree -1 under the reduced
+    convention, so it never counts as acyclic.
+    """
+    if not isinstance(x, Poset) or len(x) == 0:
+        return _complex_homology(_complex_of(x), reduced)
+    core, _ = x.core()
+    if len(core) == 1:
+        betti, torsion = {0: 0 if reduced else 1}, {0: ()}
+    else:
+        groups = _complex_homology(order_complex(core), reduced)
+        betti, torsion = groups.betti, groups.torsion
+    for d in range(len(betti), x.height() + 1):
+        betti[d], torsion[d] = 0, ()
+    return HomologyGroups(betti=betti, torsion=torsion, reduced=reduced)
+
+
 def reduced_homology(x) -> HomologyGroups:
     return homology(x, reduced=True)
 
 
 def is_acyclic(x) -> bool:
-    """All reduced homology vanishes.  The empty space is not acyclic.
-
-    Posets are first strong-collapsed to their core, which preserves the
-    homotopy type; a one-point core settles the question without matrices.
-    """
-    if isinstance(x, Poset):
-        if len(x) == 0:
-            return False
-        if len(x) <= 2:
-            # a point is acyclic; two points are acyclic iff comparable
-            if len(x) == 1:
-                return True
-            a, b = x.elements
-            return x.comparable(a, b)
-        core, _ = x.core()
-        if len(core) == 1:
-            return True
-        return reduced_homology(core).is_zero
-    k = _complex_of(x)
-    if k.dimension < 0:
-        return False
-    return reduced_homology(k).is_zero
+    """All reduced homology vanishes.  The empty space is not acyclic: its
+    reduced homology has a class in degree -1."""
+    return reduced_homology(x).is_zero
 
 
 # -- rational linear algebra -------------------------------------------
@@ -459,15 +459,6 @@ def rational_homology_basis(x) -> HomologyBasis:
     )
 
 
-@lru_cache(maxsize=512)
-def _cached_basis_for_poset(p: Poset) -> HomologyBasis:
-    return rational_homology_basis(p)
-
-
-def poset_homology_basis(p: Poset) -> HomologyBasis:
-    return _cached_basis_for_poset(p)
-
-
 def chain_map_matrix(g: SimplicialMap, k: int) -> IntMatrix:
     """Matrix of the induced degree-k chain map; degenerate images drop out."""
     dom = g.domain.simplices_of_dim(k)
@@ -516,7 +507,7 @@ def rational_homology_map(
     order-preserving poset map."""
     g = induced_simplicial_map(f, domain, codomain)
     return homology_map_from_simplicial(
-        g, poset_homology_basis(domain), poset_homology_basis(codomain)
+        g, rational_homology_basis(domain), rational_homology_basis(codomain)
     )
 
 
@@ -525,14 +516,28 @@ def trace(m: FracMatrix) -> Fraction:
 
 
 def lefschetz_number_of_map(f: Mapping | Callable, p: Poset) -> Fraction:
-    """Alternating sum of homology traces of a continuous self-map."""
-    mats = rational_homology_map(f, p, p)
-    total = Fraction(0)
-    for k, m in mats.items():
-        if m and len(m) != len(m[0]):
-            raise InternalConsistencyError("self-map induced a non-square homology matrix")
-        total += (-1) ** k * trace(m)
-    return total
+    """Lefschetz number of an order-preserving self-map of a poset.
+
+    By the Hopf trace formula the alternating sum of homology traces equals
+    that of chain traces, and a chain of the order complex is sent to
+    itself exactly when each of its points is fixed; so the number is the
+    Euler characteristic of the order complex of the fixed-point subposet
+    (Baclawski and Björner).  It is counted in one pass over a linear
+    extension: s(x) = 1 - sum of s(y) over fixed y < x is the signed number
+    of chains of fixed points topped by a fixed x.
+    """
+    mapping = _as_mapping(f, p.elements)
+    ok, witness = p.is_order_preserving(mapping, p)
+    if not ok:
+        raise InvalidMapError(f"map is not order-preserving at pair {witness!r}")
+    for x, y in mapping.items():
+        if y not in p:
+            raise InvalidMapError(f"image {y!r} of {x!r} is not an element of the poset")
+    signed: dict = {}
+    for x in p.linear_extension():
+        if mapping[x] == x:
+            signed[x] = 1 - sum(signed.get(y, 0) for y in p.strictly_below(x))
+    return Fraction(sum(signed.values()))
 
 
 def invert_matrix(m: FracMatrix) -> FracMatrix | None:

@@ -116,16 +116,26 @@ NO_TAIL = NoTail()
 MIRROR = Mirror()
 
 
+def _tail_index(obj: dict, key: str) -> int:
+    """An integer field of a tail rule; JSON booleans are not integers."""
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidTailError(f'{obj["kind"]} tail needs an integer "{key}", got {value!r}')
+    return value
+
+
 def tail_from_json(obj: dict | None) -> TailRule:
     if obj is None:
         return NO_TAIL
+    if not isinstance(obj, dict):
+        raise InvalidTailError(f"tail rule must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "none":
         return NO_TAIL
     if kind == "shift":
-        return Shift(int(obj["offset"]))
+        return Shift(_tail_index(obj, "offset"))
     if kind == "collapse":
-        return Collapse(int(obj["target"]))
+        return Collapse(_tail_index(obj, "target"))
     if kind == "mirror":
         return MIRROR
     raise InvalidTailError(f"unknown tail kind {kind!r}")

@@ -7,6 +7,7 @@ Elements may be any hashable values.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidPosetError, NotFoundError
@@ -151,17 +152,21 @@ class Poset:
 
     @property
     def covers(self) -> tuple[tuple[Element, Element], ...]:
-        """Irredundant cover pairs (a, b): a < b with nothing strictly between."""
+        """Irredundant cover pairs (a, b): a < b with nothing strictly between.
+
+        The elements covered by b are the maximal elements of its strict
+        down-set: those strictly below no other member of it.  Pairs come
+        ordered by b, then a, in stored order.
+        """
         if self._covers_cache is None:
+            down, index = self._down, self._index
+            strict = {x: dx - {x} for x, dx in down.items()}
             out = []
             for b in self._elements:
-                below = self._down[b] - {b}
-                for a in self._elements:
-                    if a not in below:
-                        continue
-                    # a is covered by b iff no c strictly between
-                    if not any(c != a and c != b and a in self._down[c] for c in below):
-                        out.append((a, b))
+                below = strict[b]
+                if below:
+                    lower = below.difference(*[strict[c] for c in below])
+                    out += [(a, b) for a in sorted(lower, key=index.__getitem__)]
             self._covers_cache = tuple(out)
         return self._covers_cache
 
@@ -176,10 +181,11 @@ class Poset:
     def height(self, x: Element | None = None) -> int:
         """Height of an element (longest chain below it), or of the poset."""
         if self._height_cache is None:
+            down = self._down
             h: dict[Element, int] = {}
-            for y in sorted(self._elements, key=lambda e: len(self._down[e])):
-                below = self._down[y] - {y}
-                h[y] = 1 + max((h[z] for z in below), default=-1)
+            for y in sorted(self._elements, key=lambda e: len(down[e])):
+                # y itself is not in h yet and counts as -1
+                h[y] = 1 + max(map(h.get, down[y], repeat(-1)))
             self._height_cache = h
         if x is None:
             return max(self._height_cache.values(), default=0)
@@ -288,48 +294,57 @@ class Poset:
     def core(self) -> tuple["Poset", dict[Element, Element]]:
         """Strong-collapse core: repeatedly delete beat points.
 
-        A point is a beat point when the elements strictly above it have a
-        unique minimum, or the elements strictly below it have a unique
-        maximum; deleting one preserves the homotopy type of the order
-        complex.  Returns the reduced poset and the composed retraction from
-        every original element to its image in the core.
+        A point is a beat point when it has exactly one upper cover or
+        exactly one lower cover among the points still present; deleting it
+        preserves the homotopy type of the order complex (Stong).  The
+        deletion is a worklist over cover adjacency: when x goes, each lower
+        cover l of x becomes covered by each upper cover u of x, unless
+        another upper cover of l lies below u, and the neighbours of x are
+        checked again.  Returns the reduced poset and the composed
+        retraction from every original element to its image in the core.
         """
-        elems = list(self._elements)
-        down = {x: set(self._down[x]) for x in elems}
-        retract = {x: x for x in self._elements}
-        alive = set(elems)
+        down = self._down
+        upper: dict[Element, set[Element]] = {x: set() for x in self._elements}
+        lower: dict[Element, set[Element]] = {x: set() for x in self._elements}
+        for a, b in self.covers:
+            upper[a].add(b)
+            lower[b].add(a)
+        target: dict[Element, Element] = {}
+        stack = list(reversed(self._elements))
+        while stack:
+            x = stack.pop()
+            if x not in upper:
+                continue
+            up, low = upper[x], lower[x]
+            if len(up) == 1:
+                (target[x],) = up
+            elif len(low) == 1:
+                (target[x],) = low
+            else:
+                continue
+            for u in up:
+                lower[u].discard(x)
+            for lo in low:
+                others = upper[lo]
+                others.discard(x)
+                for u in up:
+                    if others.isdisjoint(down[u]):
+                        others.add(u)
+                        lower[u].add(lo)
+            stack.extend(up)
+            stack.extend(low)
+            del upper[x], lower[x]
 
-        def beat_target(x: Element) -> Element | None:
-            above = [y for y in alive if y != x and x in down[y]]
-            if above:
-                mins = [y for y in above if not any(z != y and z in down[y] for z in above)]
-                if len(mins) == 1:
-                    return mins[0]
-            below = [y for y in alive if y != x and y in down[x]]
-            if below:
-                maxs = [y for y in below if not any(z != y and y in down[z] for z in below)]
-                if len(maxs) == 1:
-                    return maxs[0]
-            return None
-
-        changed = True
-        while changed:
-            changed = False
-            for x in list(alive):
-                if len(alive) == 1:
-                    break
-                target = beat_target(x)
-                if target is not None:
-                    alive.discard(x)
-                    for y in alive:
-                        down[y].discard(x)
-                    for orig, img in retract.items():
-                        if img == x:
-                            retract[orig] = target
-                    changed = True
-        core_elems = [x for x in elems if x in alive]
-        core_poset = Poset(core_elems, {x: frozenset(down[x]) for x in core_elems})
-        return core_poset, retract
+        if not target:
+            return self, {x: x for x in self._elements}
+        # a target was present when its source went, so it is resolved
+        # before its source when the deletions are replayed backwards
+        image = {x: x for x in upper}
+        for x in reversed(target):
+            image[x] = image[target[x]]
+        core_elems = [x for x in self._elements if x in upper]
+        core_poset = Poset(core_elems, {x: down[x].intersection(upper) for x in core_elems})
+        return core_poset, {x: image[x] for x in self._elements}
 
     # -- export ---------------------------------------------------------
 

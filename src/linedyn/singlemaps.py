@@ -24,7 +24,6 @@ from .errors import (
 )
 from .homology import lefschetz_number_of_map
 from .line import (
-    NO_TAIL,
     Direction,
     Interval,
     LineWindow,
@@ -514,7 +513,8 @@ def classify_dynamics(f: SelfMap) -> DynamicsClass:
 
 
 def selfmap_lefschetz(f: SelfMap) -> Fraction:
-    """Lefschetz number of a window self-map on rational homology."""
+    """Lefschetz number of a window self-map: the Euler characteristic of the
+    order complex of its fixed points (see ``lefschetz_number_of_map``)."""
     if not f.maps_into_window:
         raise OutOfWindowError("Lefschetz number needs a self-map of the window")
     return lefschetz_number_of_map(dict(f.values), f.window.poset)

@@ -5,8 +5,6 @@ import io
 import json
 from pathlib import Path
 
-import pytest
-
 from linedyn.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -96,6 +94,14 @@ def test_check_map_malformed_input(tmp_path):
     clipped.write_text('{"kind": "multimap", "window": [0, 1], "values": {"0": [0], "1": [1]}, "clipped": 5}')
     code, _, err = run(["check-map", str(clipped), "--no-timing"])
     assert code == 2 and "clipped" in err
+    for tail in ('{"kind": "shift"}', '"mirror"', '{"kind": "collapse", "target": true}'):
+        tailed = tmp_path / "tailed.json"
+        tailed.write_text(
+            '{"kind": "selfmap", "window": [0, 1], "values": {"0": 0, "1": 1}, '
+            f'"left_tail": {tail}}}'
+        )
+        code, out, err = run(["check-map", str(tailed), "--no-timing"])
+        assert code == 2 and out == "" and "tail" in err
 
 
 def test_orbits_band():

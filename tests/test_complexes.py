@@ -1,21 +1,15 @@
 """Simplicial complexes, order complexes, face posets, and simplicial maps."""
 
-import itertools
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from linedyn import (
     InvalidMapError,
-    Poset,
     barycentric_subdivision,
     build_line_window,
     face_poset,
     induced_poset_map,
     induced_simplicial_map,
     interval_triangulation,
-    is_isomorphic,
     order_complex,
 )
 from linedyn.catalog import chain_poset, minimal_circle_poset, small_complex_corpus

@@ -1,14 +1,20 @@
 """Integer homology via Smith normal form, plus rational homology of maps."""
 
 import itertools
-import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from linedyn import InternalConsistencyError, build_line_window, order_complex
+from linedyn import (
+    InternalConsistencyError,
+    InvalidMapError,
+    NotFoundError,
+    Poset,
+    build_line_window,
+    order_complex,
+)
 from linedyn.catalog import (
     antichain_poset,
     chain_poset,
@@ -33,6 +39,7 @@ from linedyn.homology import (
     snf_diagonal,
     trace,
 )
+from linedyn.singlemaps import enumerate_value_tuples
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -264,6 +271,12 @@ def test_lefschetz_number_of_circle_maps():
     # rotation is fixed point free and its number vanishes
     assert lefschetz_number_of_map(rot, c) == 0
     assert all(rot[x] != x for x in c.elements)
+    # the identity fixes the whole circle, a constant map one point
+    identity, constant = {x: x for x in c.elements}, {x: 2 for x in c.elements}
+    assert lefschetz_number_of_map(identity, c) == 0
+    assert lefschetz_number_of_map(constant, c) == 1
+    for f in (refl, rot, identity, constant):
+        assert lefschetz_number_of_map(f, c) == basis_lefschetz(f, c)
 
 
 def test_lefschetz_number_on_window_maps():
@@ -276,3 +289,56 @@ def test_identity_induces_identity_on_homology():
     c = minimal_circle_poset()
     h = rational_homology_map({x: x for x in c.elements}, c, c)
     assert h[0] == [[Fr(1)]] and h[1] == [[Fr(1)]]
+
+
+def basis_lefschetz(f, p):
+    """Oracle: alternating sum of traces of the map induced on rational
+    homology bases."""
+    mats = rational_homology_map(f, p, p)
+    return sum(((-1) ** k * trace(m) for k, m in mats.items()), Fr(0))
+
+
+def test_fixed_point_lefschetz_matches_basis_route_on_window_maps():
+    checked = 0
+    for size in range(1, 6):
+        for lo in (-2, -1, 0, 1):
+            p = build_line_window(lo, lo + size - 1).poset
+            for values in enumerate_value_tuples(lo, lo + size - 1):
+                f = dict(zip(range(lo, lo + size), values))
+                assert lefschetz_number_of_map(f, p) == basis_lefschetz(f, p), f
+                checked += 1
+    assert checked == 580
+
+
+@st.composite
+def posets_with_selfmaps(draw):
+    """A random poset on 0..n-1 with one of its order-preserving self-maps."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+            max_size=8,
+        )
+    )
+    p = Poset.from_relation(range(n), pairs)
+    maps = [
+        f for f in itertools.product(range(n), repeat=n)
+        if p.is_order_preserving(f.__getitem__, p)[0]
+    ]
+    return p, dict(enumerate(draw(st.sampled_from(maps))))
+
+
+@given(posets_with_selfmaps())
+def test_fixed_point_lefschetz_matches_basis_route_on_random_posets(pf):
+    p, f = pf
+    assert lefschetz_number_of_map(f, p) == basis_lefschetz(f, p)
+
+
+def test_lefschetz_number_of_map_rejects_bad_maps():
+    p = build_line_window(-1, 1).poset
+    with pytest.raises(InvalidMapError):
+        lefschetz_number_of_map({-1: 0, 0: -1, 1: 1}, p)
+    with pytest.raises(NotFoundError):
+        lefschetz_number_of_map({-1: -1, 0: 5, 1: 1}, p)
+    with pytest.raises(InvalidMapError):
+        lefschetz_number_of_map({0: 7}, build_line_window(0, 0).poset)

@@ -10,7 +10,6 @@ from linedyn import (
     Interval,
     InvalidRangeError,
     InvalidTailError,
-    LineWindow,
     Mirror,
     NoTail,
     NotFoundError,
@@ -105,6 +104,18 @@ def test_tail_json_round_trip(rule):
 def test_tail_from_json_rejects_unknown_kind():
     with pytest.raises(InvalidTailError):
         tail_from_json({"kind": "teleport"})
+    # a tail is an object, and its offset or target a JSON integer
+    for obj in (
+        "mirror",
+        [],
+        {"kind": "shift"},
+        {"kind": "shift", "offset": "2"},
+        {"kind": "shift", "offset": True},
+        {"kind": "collapse", "target": 1.5},
+        {"kind": "collapse", "target": False},
+    ):
+        with pytest.raises(InvalidTailError):
+            tail_from_json(obj)
 
 
 def test_tends_to_directions():

@@ -35,7 +35,7 @@ from linedyn.complexes import SimplicialMap
 from linedyn.homology import (
     homology_map_from_simplicial,
     invert_matrix,
-    poset_homology_basis,
+    rational_homology_basis,
     trace,
 )
 from linedyn.catalog import (
@@ -169,8 +169,8 @@ def _general_lefschetz(F):
     """Oracle: push rational cycle bases through both projections of the
     graph and invert the first; exact rational arithmetic throughout."""
     gp = graph_poset(F)
-    gamma_basis = poset_homology_basis(gp.poset)
-    window_basis = poset_homology_basis(F.window.poset)
+    gamma_basis = rational_homology_basis(gp.poset)
+    window_basis = rational_homology_basis(F.window.poset)
     p_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.p)
     q_simpl = SimplicialMap(gamma_basis.complex, window_basis.complex, gp.q)
     p_mats = homology_map_from_simplicial(p_simpl, gamma_basis, window_basis)

@@ -1,13 +1,32 @@
 """Finite poset construction, order queries, cores, and isomorphism."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from linedyn import InvalidPosetError, NotFoundError, Poset, build_line_window, is_isomorphic
-from linedyn.catalog import antichain_poset, chain_poset, minimal_circle_poset
+from linedyn import (
+    InvalidPosetError,
+    NotFoundError,
+    Poset,
+    build_line_window,
+    face_poset,
+    graph_poset,
+    interval_triangulation,
+    is_isomorphic,
+    order_complex,
+)
+from linedyn.catalog import (
+    antichain_poset,
+    chain_poset,
+    constant_interval_map,
+    expanding_interval_map,
+    minimal_circle_poset,
+    split_point_map,
+    three_zone_flow_map,
+)
 from linedyn.homology import homology
 
 
@@ -55,6 +74,15 @@ def test_constructors_agree_on_chain():
 def test_covers_are_irredundant():
     p = Poset.from_leq(range(4), lambda x, y: x <= y)
     assert set(p.covers) == {(0, 1), (1, 2), (2, 3)}
+
+
+@given(random_posets())
+def test_covers_match_definition(p):
+    expected = [
+        (a, b) for b in p.elements for a in p.elements
+        if p.lt(a, b) and not any(p.lt(a, c) and p.lt(c, b) for c in p.elements)
+    ]
+    assert list(p.covers) == expected
 
 
 def test_down_and_up_sets():
@@ -194,12 +222,114 @@ def test_core_retraction_is_order_preserving_and_fixes_core():
         assert r[x] == x
 
 
+def oracle_core(p):
+    """Beat-point removal by rescanning every live element for each
+    candidate, O(n^3); the reference for ``Poset.core``."""
+    elems = list(p.elements)
+    down = {x: set(p.down_set(x)) for x in elems}
+    retract = {x: x for x in elems}
+    alive = set(elems)
+
+    def beat_target(x):
+        above = [y for y in alive if y != x and x in down[y]]
+        if above:
+            mins = [y for y in above if not any(z != y and z in down[y] for z in above)]
+            if len(mins) == 1:
+                return mins[0]
+        below = [y for y in alive if y != x and y in down[x]]
+        if below:
+            maxs = [y for y in below if not any(z != y and y in down[z] for z in below)]
+            if len(maxs) == 1:
+                return maxs[0]
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for x in list(alive):
+            if len(alive) == 1:
+                break
+            target = beat_target(x)
+            if target is not None:
+                alive.discard(x)
+                for y in alive:
+                    down[y].discard(x)
+                for orig, img in retract.items():
+                    if img == x:
+                        retract[orig] = target
+                changed = True
+    core_elems = [x for x in elems if x in alive]
+    return Poset(core_elems, {x: frozenset(down[x]) for x in core_elems}), retract
+
+
+def has_beat_point(p):
+    return any(len(p.covers_of(x)) == 1 or len(p.covered_by(x)) == 1 for x in p)
+
+
+def assert_core_matches_oracle(p):
+    core, r = p.core()
+    assert not has_beat_point(core)
+    expected, _ = oracle_core(p)
+    assert not has_beat_point(expected)
+    assert is_isomorphic(core, expected)[0]
+    assert set(r) == set(p.elements)
+    assert set(r.values()) <= set(core.elements)
+    assert all(r[x] == x for x in core.elements)
+    ok, _ = p.is_order_preserving(r, core)
+    assert ok
+    for x in core.elements:
+        assert core.down_set(x) == p.down_set(x) & set(core.elements)
+
+
+@given(random_posets())
+def test_core_matches_oracle(p):
+    assert_core_matches_oracle(p)
+
+
+def test_core_matches_oracle_on_seeded_posets():
+    # from about nine points on, a worklist that also linked a lower cover to
+    # an upper cover it reaches through another cover would leave beat points
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(6, 10)
+        density = rng.choice([0.2, 0.3, 0.45])
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+        assert_core_matches_oracle(Poset.from_relation(range(n), pairs))
+    assert_core_matches_oracle(Poset.from_covers(range(9), [
+        (0, 3), (1, 3), (0, 4), (1, 4), (2, 5), (4, 5), (0, 6), (1, 6), (2, 7), (4, 7),
+        (3, 8), (4, 8),
+    ]))
+
+
+def test_core_of_empty_poset_is_empty():
+    core, r = Poset([], {}).core()
+    assert len(core) == 0 and r == {}
+
+
+def assert_same_homology_as_order_complex(p):
+    for reduced in (True, False):
+        a = homology(p, reduced=reduced)
+        b = homology(order_complex(p), reduced=reduced)
+        assert a == b
+        assert list(a.betti) == list(b.betti) and list(a.torsion) == list(b.torsion)
+        assert a.to_json() == b.to_json()
+
+
 @given(random_posets())
 def test_core_preserves_homology(p):
-    core, _ = p.core()
-    a, b = homology(p), homology(core)
-    assert {k: v for k, v in a.betti.items() if v} == {k: v for k, v in b.betti.items() if v}
-    assert {k: t for k, t in a.torsion.items() if t} == {k: t for k, t in b.torsion.items() if t}
+    assert_same_homology_as_order_complex(p)
+
+
+def test_core_preserves_homology_on_corpus():
+    posets = [Poset([], {}), minimal_circle_poset(), antichain_poset(3), chain_poset(4)]
+    posets += [build_line_window(lo, lo + n - 1).poset for n in range(1, 41) for lo in (0, 1)]
+    posets += [face_poset(interval_triangulation(n)) for n in range(7)]
+    zone_maps = [three_zone_flow_map(n) for n in (1, 2, 3, 8)]
+    zone_maps += [constant_interval_map(build_line_window(-2, 4)), expanding_interval_map(4)]
+    zone_maps += [split_point_map(1), split_point_map(2)]
+    posets += [graph_poset(F).poset for F in zone_maps]
+    for p in posets:
+        assert_same_homology_as_order_complex(p)
 
 
 def test_isomorphism_positive():

@@ -3,11 +3,8 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from linedyn import (
-    MIRROR,
     Collapse,
     Direction,
     DynamicsTag,

@@ -86,6 +86,22 @@ def test_parse_map_rejects_malformed():
     ):
         with pytest.raises(SpecFormatError):
             parse_map(bad)
+    # tail rules: an object with an integer offset or target
+    single = {"kind": "selfmap", "window": [0, 1], "values": {"0": 0, "1": 1}}
+    for tail in (
+        "mirror",
+        ["shift", 2],
+        {"kind": "shift"},
+        {"kind": "shift", "offset": "2"},
+        {"kind": "shift", "offset": 2.0},
+        {"kind": "shift", "offset": True},
+        {"kind": "collapse"},
+        {"kind": "collapse", "target": None},
+        {"kind": "collapse", "target": False},
+    ):
+        for side in ("left_tail", "right_tail"):
+            with pytest.raises(SpecFormatError):
+                parse_map({**single, side: tail})
 
 
 def test_rules_apply_first_match_and_clip():
