@@ -390,12 +390,6 @@ def solve_in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> list
     return coeffs
 
 
-def _is_independent(vectors: list[list[Fraction]], candidate: list[Fraction]) -> bool:
-    if not vectors:
-        return any(x != 0 for x in candidate)
-    return solve_in_span(vectors, candidate) is None
-
-
 @dataclass(frozen=True)
 class HomologyBasis:
     """Rational homology data of one complex: cycle representatives per
@@ -424,8 +418,10 @@ def rational_homology_basis(x) -> HomologyBasis:
     """Unreduced rational homology with deterministic bases.
 
     Cycle spaces come from row-reduced kernels of the boundary maps, boundary
-    spans from the pivotal columns of the next boundary; representatives are
-    kernel vectors extending the boundary span.
+    spans from the pivot columns of the next boundary; representatives are
+    the cycles among the pivot columns of [span | cycles].  A pivot column
+    is one outside the span of the columns before it, so each echelon pass
+    picks what a greedy scan for independent vectors would pick.
     """
     k = _complex_of(x)
     cc = boundary_matrices(k)
@@ -441,19 +437,12 @@ def rational_homology_basis(x) -> HomologyBasis:
         else:
             frac_boundary = [[Fraction(v) for v in row] for row in cc.boundary(d)]
             cycles = kernel_basis(frac_boundary, n)
-        nxt = cc.boundary(d + 1) if d + 1 <= cc.dimension else None
-        span: list[list[Fraction]] = []
-        if nxt is not None and len(nxt) and len(nxt[0]):
-            for col in range(len(nxt[0])):
-                vec = [Fraction(nxt[row][col]) for row in range(len(nxt))]
-                if _is_independent(span, vec):
-                    span.append(vec)
-        reps: list[list[Fraction]] = []
-        for vec in cycles:
-            if _is_independent(span + reps, vec):
-                reps.append(vec)
+        nxt = cc.boundary(d + 1) if d + 1 <= cc.dimension else []
+        span = [[Fraction(row[col]) for row in nxt] for col in _rref(nxt)[1]]
+        columns = span + cycles
+        _, pivots = _rref([[vec[i] for vec in columns] for i in range(n)])
         boundary_span[d] = span
-        representatives[d] = reps
+        representatives[d] = [columns[col] for col in pivots if col >= len(span)]
     return HomologyBasis(
         complex=k, chain=cc, boundary_span=boundary_span, representatives=representatives
     )

@@ -219,47 +219,30 @@ def is_vietoris_like_map(
     return True, None
 
 
-def _cover_fibre_acyclic(odd_values: frozenset, even_values: frozenset) -> bool:
-    """Acyclicity of the graph fibre over a cover chain {o, e}, given F(o)
-    and F(e).
+def _cover_witness(lo: int, ends: Sequence[tuple[int, int]]) -> tuple | None:
+    """First cover pair {odd, even} of the window from x_lo whose graph
+    fibre is not acyclic, or None; ``ends[k]`` is (min, max) of F(x_{lo+k}),
+    which must be a run of consecutive indices.
 
-    The fibre is {o} x F(o) together with {e} x F(e), each ordered as F(o)
-    and F(e) are on the line, with (o, y) below (e, z) exactly when y <= z
-    on the line; its shape depends only on the two value sets.
+    Pairs are visited by odd point and then even point, the order of
+    ``is_vietoris_like_map``.  With F(o) = [a, b] and F(e) = [c, d], the
+    fibre over {o, e} is {o} x [a, b] below {e} x [c, d], with (o, y) below
+    (e, z) exactly when y <= z on the line.  Its order complex is two paths
+    joined by an edge for each such pair: where the runs meet, these edges
+    and the triangles they span form a strip with paths hanging off it;
+    where the runs do not meet, only an odd end of [a, b] next to [c, d]
+    gives an edge, and a single one.  So the fibre is contractible when
+    some y <= z, and two disjoint paths when none.
     """
-    elements = [(0, y) for y in sorted(odd_values)] + [(1, z) for z in sorted(even_values)]
-    return is_acyclic(
-        Poset.from_leq(elements, lambda s, t: s[0] <= t[0] and line_leq(s[1], t[1]))
-    )
-
-
-def _vietoris_witness(lo: int, values: Sequence[frozenset], memo: dict) -> tuple | None:
-    """First chain of the window from x_lo whose graph fibre is not acyclic,
-    or None; ``values[k]`` is F(x_{lo+k}).
-
-    A window has height at most 1, so its chains are points and cover pairs
-    {odd, even}.  The fibre over a point x is F(x) with the line order,
-    acyclic exactly when F(x) is a run of consecutive indices.  Chains are
-    visited in ``is_vietoris_like_map`` order: odd points, even points, then
-    cover pairs by odd point and then even point.  ``memo`` holds verdicts by
-    value set for points and by value-set pair for covers.
-    """
-    odd = (lo + 1) % 2  # offset of the first odd index
-    for start in (odd, 1 - odd):
-        for k in range(start, len(values), 2):
-            vs = values[k]
-            ok = memo.get(vs)
-            if ok is None:
-                ok = memo[vs] = max(vs) - min(vs) < len(vs)
-            if not ok:
-                return (lo + k,)
-    for k in range(len(values) - 1):
+    for k in range(len(ends) - 1):
         o, e = (k, k + 1) if (lo + k) % 2 else (k + 1, k)
-        pair = (values[o], values[e])
-        ok = memo.get(pair)
-        if ok is None:
-            ok = memo[pair] = _cover_fibre_acyclic(*pair)
-        if not ok:
+        a, b = ends[o]
+        c, d = ends[e]
+        if not (
+            (a <= d and c <= b)
+            or (b % 2 == 1 and b + 1 == c)
+            or (a % 2 == 1 and a - 1 == d)
+        ):
             return (lo + o, lo + e)
     return None
 
@@ -268,9 +251,23 @@ def is_vietoris_like_multimap(F: MultiMap) -> tuple[bool, tuple | None]:
     """Whether the first projection of the graph is Vietoris-like; the
     witness is the first chain of window indices, in the order
     ``is_vietoris_like_map`` visits them, whose graph preimage is not
-    acyclic."""
+    acyclic.
+
+    A window has height at most 1, so its chains are points and cover pairs.
+    The fibre over a point x is F(x) with the line order, acyclic exactly
+    when F(x) is a run of consecutive indices.  Odd points are visited
+    first, then even points, then the cover pairs.
+    """
+    lo = F.window.lo
     values = [F.values[i] for i in F.window.indices]
-    witness = _vietoris_witness(F.window.lo, values, {})
+    ends = [(min(vs), max(vs)) for vs in values]
+    odd = (lo + 1) % 2  # offset of the first odd index
+    for start in (odd, 1 - odd):
+        for k in range(start, len(values), 2):
+            a, b = ends[k]
+            if b - a >= len(values[k]):
+                return False, (lo + k,)
+    witness = _cover_witness(lo, ends)
     return witness is None, witness
 
 

@@ -143,13 +143,13 @@ def _parse_multimap(data: Mapping) -> MultiMap:
         for member, lo_of, hi_of in compiled:
             if member(i):
                 a, b = lo_of(i), hi_of(i)
-                full = list(range(min(a, b), max(a, b) + 1))
-                kept = [v for v in full if v in window]
+                first, last = min(a, b), max(a, b)
+                kept = range(max(first, window.lo), min(last, window.hi) + 1)
                 if not kept:
                     raise SpecFormatError(
                         f"rule value for x_{i} lies entirely outside the window"
                     )
-                if len(kept) != len(full):
+                if first < window.lo or last > window.hi:
                     clipped.add(i)
                 values[i] = kept
                 break
@@ -172,8 +172,9 @@ def parse_map(data: Mapping) -> SelfMap | MultiMap:
     if kind not in (None, "selfmap", "multimap"):
         raise SpecFormatError(f"unknown kind {kind!r}")
     if kind is None:
-        multi = "rules" in data or any(
-            isinstance(v, list) for v in data.get("values", {}).values()
+        raw = data.get("values")
+        multi = "rules" in data or (
+            isinstance(raw, Mapping) and any(isinstance(v, list) for v in raw.values())
         )
         kind = "multimap" if multi else "selfmap"
     if kind == "selfmap":

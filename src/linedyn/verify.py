@@ -4,9 +4,9 @@ Each suite enumerates a full corpus (all continuous self-maps of a window, or
 all interval-valued multivalued maps on all windows up to a size) and counts
 violations, which must be zero.  The per-map checks recompute what they test
 with plain dict walks where possible, independent of the richer library
-classes, so they double as oracles for the test suite.  The Lefschetz sweep decides the
-Vietoris condition with the library's local check and cross-checks a sample
-against the global one.
+classes, so they double as oracles for the test suite.  The Lefschetz sweep
+decides the Vietoris condition from the endpoints of the value intervals with
+the library's local check, and cross-checks a sample against the global one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import InternalConsistencyError, SizeGuardError
 from .line import LineWindow, build_line_window, interval_indices
 from .multimaps import (
     MultiMap,
-    _vietoris_witness,
+    _cover_witness,
     graph_poset,
     is_vietoris_like_map,
     lefschetz_number,
@@ -181,6 +181,13 @@ def verify_interval_lemma(window: LineWindow, force: bool = False) -> VerifyResu
 # -- the Lefschetz sweep over small multivalued maps ---------------------
 
 
+def _interval_multimap(window: LineWindow, assignment: tuple) -> MultiMap:
+    """The map sending x_i to the run [a, b] given for it, in window order."""
+    return MultiMap(
+        window, {i: range(a, b + 1) for i, (a, b) in zip(window.indices, assignment)}
+    )
+
+
 def verify_lefschetz_fixed_points(
     max_size: int = 5, crosscheck_stride: int = 997
 ) -> VerifyResult:
@@ -190,12 +197,12 @@ def verify_lefschetz_fixed_points(
     A map with a fixed point satisfies the implication outright, so the
     sweep enumerates exactly the fixed-point-free assignments (every point's
     value interval avoids the point) and demands that each one either fails
-    the Vietoris condition or has Lefschetz number zero.  The Vietoris
-    condition is decided by the library's local check, with one fibre memo
-    for the whole sweep; every crosscheck_stride-th assignment is re-decided
-    by the global check on the graph poset, verdict and witness both.
+    the Vietoris condition or has Lefschetz number zero.  An assignment is a
+    tuple of value intervals (a, b); the Vietoris condition is decided from
+    these endpoints by the library's cover check, since every interval passes
+    the point check.  Every crosscheck_stride-th assignment is re-decided by
+    the global check on the graph poset, verdict and witness both.
     """
-    memo: dict = {}
     total_maps = 0
     fp_free = 0
     vietoris_fp_free = 0
@@ -205,22 +212,19 @@ def verify_lefschetz_fixed_points(
     for lo in (0, 1):
         for size in range(1, max_size + 1):
             window = build_line_window(lo, lo + size - 1)
-            intervals = [
-                frozenset(range(a, b + 1))
-                for a in window.indices
-                for b in window.indices
-                if a <= b
-            ]
+            intervals = [(a, b) for a in window.indices for b in window.indices if a <= b]
             total_maps += len(intervals) ** size
-            avoiding = [[vs for vs in intervals if i not in vs] for i in window.indices]
+            avoiding = [
+                [(a, b) for a, b in intervals if not a <= i <= b] for i in window.indices
+            ]
             count_here = 0
             for assignment in itertools.product(*avoiding):
                 fp_free += 1
                 count_here += 1
-                witness = _vietoris_witness(lo, assignment, memo)
+                witness = _cover_witness(lo, assignment)
                 if fp_free % crosscheck_stride == 0:
                     crosschecked += 1
-                    gp = graph_poset(MultiMap(window, dict(zip(window.indices, assignment))))
+                    gp = graph_poset(_interval_multimap(window, assignment))
                     expected = is_vietoris_like_map(gp.p, gp.poset, window.poset)
                     if expected != (witness is None, witness):
                         raise InternalConsistencyError(
@@ -230,14 +234,11 @@ def verify_lefschetz_fixed_points(
                     continue
                 vietoris_fp_free += 1
                 try:
-                    F = MultiMap(window, dict(zip(window.indices, assignment)))
-                    bad = lefschetz_number(F).lambda_ != 0
+                    bad = lefschetz_number(_interval_multimap(window, assignment)).lambda_ != 0
                 except InternalConsistencyError:
                     bad = True
                 if bad and len(violations) < MAX_VIOLATIONS_KEPT:
-                    violations.append(
-                        ((window.lo, window.hi), tuple((min(v), max(v)) for v in assignment))
-                    )
+                    violations.append(((window.lo, window.hi), assignment))
             per_window[f"[{window.lo},{window.hi}]"] = count_here
     return VerifyResult(
         theorem="lefschetz",

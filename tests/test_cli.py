@@ -94,6 +94,10 @@ def test_check_map_malformed_input(tmp_path):
     clipped.write_text('{"kind": "multimap", "window": [0, 1], "values": {"0": [0], "1": [1]}, "clipped": 5}')
     code, _, err = run(["check-map", str(clipped), "--no-timing"])
     assert code == 2 and "clipped" in err
+    listed = tmp_path / "listed.json"
+    listed.write_text('{"window": [0, 2], "values": [1, 2]}')
+    code, out, err = run(["check-map", str(listed), "--no-timing"])
+    assert code == 2 and out == "" and "values" in err
     for tail in ('{"kind": "shift"}', '"mirror"', '{"kind": "collapse", "target": true}'):
         tailed = tmp_path / "tailed.json"
         tailed.write_text(

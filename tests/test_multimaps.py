@@ -35,6 +35,7 @@ from linedyn.complexes import SimplicialMap
 from linedyn.homology import (
     homology_map_from_simplicial,
     invert_matrix,
+    is_acyclic,
     rational_homology_basis,
     trace,
 )
@@ -48,6 +49,9 @@ from linedyn.catalog import (
     split_point_map,
     three_zone_flow_map,
 )
+from linedyn.line import line_leq
+from linedyn.multimaps import _cover_witness
+from linedyn.posets import Poset
 
 BAND = constant_interval_map(build_line_window(1, 3))
 THREE_ZONE = three_zone_flow_map(10)
@@ -228,6 +232,58 @@ def test_local_vietoris_check_matches_global_oracle():
         ), F.values
         count += 1
     assert count == 2 * (1 + 3**2 + 7**3 + 10**4)
+
+
+def _cover_fibre_acyclic(odd_values, even_values):
+    """Oracle: homology of the graph fibre over a cover chain {o, e}, given
+    F(o) and F(e).
+
+    The fibre is {o} x F(o) together with {e} x F(e), each ordered as F(o)
+    and F(e) are on the line, with (o, y) below (e, z) exactly when y <= z
+    on the line; its shape depends only on the two value sets.
+    """
+    elements = [(0, y) for y in sorted(odd_values)] + [(1, z) for z in sorted(even_values)]
+    return is_acyclic(
+        Poset.from_leq(elements, lambda s, t: s[0] <= t[0] and line_leq(s[1], t[1]))
+    )
+
+
+def test_cover_witness_matches_fibre_homology_oracle():
+    """Every ordered pair of runs in a 14-point stretch, as the values of
+    the odd and the even point of a cover pair, on 2-point windows of both
+    parities."""
+    runs = [(a, b) for a in range(-6, 8) for b in range(a, 8)]
+    assert len(runs) == 105
+    passed = 0
+    for odd_run, even_run in itertools.product(runs, repeat=2):
+        ok = _cover_fibre_acyclic(range(odd_run[0], odd_run[1] + 1),
+                                  range(even_run[0], even_run[1] + 1))
+        passed += ok
+        # window [1, 2] has the odd point first, [0, 1] the even point first
+        assert _cover_witness(1, [odd_run, even_run]) == (None if ok else (1, 2))
+        assert _cover_witness(0, [even_run, odd_run]) == (None if ok else (1, 0))
+    assert passed == 7840  # of 11,025: both verdicts are exercised
+
+
+@pytest.mark.parametrize(
+    "odd_values, even_values, acyclic",
+    [
+        ({1}, {2, 3}, True),    # odd end 1 lies below 2
+        ({2}, {3, 4}, False),   # 2 is even: below nothing but itself
+        ({3}, {1, 2}, True),    # odd end 3 lies below 2
+        ({4}, {2, 3}, False),   # 4 is even
+    ],
+)
+def test_touching_value_runs(odd_values, even_values, acyclic):
+    assert _cover_fibre_acyclic(odd_values, even_values) == acyclic
+    # x_1 is odd and x_2 even; the other cover pairs repeat a value set, so
+    # their runs meet and only {1, 2} can fail
+    w = build_line_window(0, 4)
+    F = MultiMap(w, {0: odd_values, 1: odd_values, 2: even_values, 3: even_values, 4: even_values})
+    expected = (True, None) if acyclic else (False, (1, 2))
+    assert is_vietoris_like_multimap(F) == expected
+    gp = graph_poset(F)
+    assert is_vietoris_like_map(gp.p, gp.poset, w.poset) == expected
 
 
 def test_lefschetz_matches_general_oracle_on_small_maps():

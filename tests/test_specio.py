@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linedyn import (
     MultiMap,
@@ -83,6 +85,8 @@ def test_parse_map_rejects_malformed():
             {"range": [False, 1], "kind": "interval", "from": "i", "to": "i"}]},
         {**multi, "values": {}, "rules": [
             {"range": "default", "kind": "interval", "from": True, "to": "i"}]},
+        # no "kind", and "values" is not an object to sniff the kind from
+        {"window": [0, 2], "values": [1, 2]},
     ):
         with pytest.raises(SpecFormatError):
             parse_map(bad)
@@ -137,6 +141,67 @@ def test_rule_fully_outside_window_fails():
     }
     with pytest.raises(SpecFormatError):
         parse_map(data)
+
+
+def test_rule_with_huge_offset_is_clipped_without_building_the_span():
+    big = 10**15
+    data = {
+        "window": [0, 2],
+        "rules": [
+            {"range": [0, 0], "kind": "interval", "from": "i", "to": f"i+{big}"},
+            {"range": [1, 1], "kind": "interval", "from": f"-i+{big}", "to": f"i-{big}"},
+            {"range": "default", "kind": "interval", "from": 0, "to": 2},
+        ],
+    }
+    F = parse_map(data)
+    assert F.values == {i: frozenset({0, 1, 2}) for i in (0, 1, 2)}
+    # a span that exceeds the window is clipped; one that fits exactly is not
+    assert F.clipped == frozenset({0, 1})
+    data["rules"][0]["from"] = f"i+{big}"
+    with pytest.raises(SpecFormatError, match="entirely outside"):
+        parse_map(data)
+
+
+# JSON-shaped data, biased towards the words and shapes of map files so the
+# fuzz reaches the rule and tail parsers.  Integers stay small: a window's
+# bounds set the size of the map, and a wide window is a large input, not a
+# malformed one.
+_WORDS = st.sampled_from([
+    "kind", "selfmap", "multimap", "window", "values", "rules", "clipped",
+    "left_tail", "right_tail", "shift", "collapse", "offset", "target",
+    "interval", "range", "default", "from", "to",
+    "i", "-i", "i+1", "i-2", "-i+1", "i+99999999999", "-1", "0", "1", "2",
+]) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | _WORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_WORDS, inner, max_size=5),
+    max_leaves=16,
+)
+_RULE = st.fixed_dictionaries(
+    {"kind": st.just("interval") | _JSON},
+    optional={"range": st.just("default") | _JSON, "from": _JSON, "to": _JSON},
+)
+_MAP_LIKE = st.fixed_dictionaries(
+    {"window": st.lists(st.integers(-3, 3), min_size=2, max_size=2) | _JSON},
+    optional={
+        "kind": st.sampled_from(["selfmap", "multimap"]) | _JSON,
+        "values": st.dictionaries(_WORDS, _JSON, max_size=6) | _JSON,
+        "rules": st.lists(_RULE, max_size=3) | _JSON,
+        "clipped": _JSON,
+        "left_tail": st.fixed_dictionaries({"kind": _WORDS}, optional={
+            "offset": _JSON, "target": _JSON}) | _JSON,
+        "right_tail": _JSON,
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON, _MAP_LIKE))
+def test_parse_map_raises_only_spec_format_error(data):
+    try:
+        parse_map(data)
+    except SpecFormatError:
+        pass
 
 
 def test_committed_spec_files_parse_to_catalog_maps():
